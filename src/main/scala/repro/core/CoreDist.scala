@@ -1,12 +1,16 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
+
 import repro.kdtree.KdTree
-import repro.par.ParScheme
+import repro.par.{ParScheme, WorkBudget}
 
 /** HDBSCAN* core distances: cd(p) = distance from p to its minPts-nearest
   * neighbor, including p itself (§2.1). Computed with parallel k-NN queries
   * against the kd-tree — point ids are chunked into work items and each
-  * Spark task answers its chunk against the broadcast tree.
+  * Spark task answers its chunk against the shared tree. Under a scheme
+  * that fans out, the driver first answers chunks in order until it has
+  * spent one [[WorkBudget]]; only the remaining chunks fan out.
   */
 object CoreDist {
 
@@ -16,21 +20,32 @@ object CoreDist {
     val sharedTree = par.share(tree)
     try {
       val chunks = chunkRanges(n, par.targetTasks * 4)
-      val parts = par.mapItems(chunks) { case (lo, hi) =>
-        val t = sharedTree.value
-        val out = new Array[Double](hi - lo)
-        var i = lo
-        while (i < hi) {
-          out(i - lo) = t.kNearestDistances(i, minPts).last
-          i += 1
+      val parts = ArrayBuffer.empty[Array[Double]]
+      WorkBudget.forDriver(par).foreach { budget =>
+        while (parts.size < chunks.size && !budget.exhausted) {
+          val (lo, hi) = chunks(parts.size)
+          parts += coreDists(tree, minPts, lo, hi, budget)
         }
-        out
+      }
+      parts ++= par.mapItems(chunks.drop(parts.size)) { case (lo, hi) =>
+        coreDists(sharedTree.value, minPts, lo, hi, WorkBudget.unlimited)
       }
       val cd = new Array[Double](n)
       var off = 0
       parts.foreach { p => System.arraycopy(p, 0, cd, off, p.length); off += p.length }
       cd
     } finally sharedTree.release()
+  }
+
+  /** Core distances of points `lo until hi`. */
+  private def coreDists(t: KdTree, minPts: Int, lo: Int, hi: Int, work: WorkBudget): Array[Double] = {
+    val out = new Array[Double](hi - lo)
+    var i = lo
+    while (i < hi) {
+      out(i - lo) = t.kNearestDistances(i, minPts, work).last
+      i += 1
+    }
+    out
   }
 
   /** Splits [0, n) into at most `parts` contiguous (lo, hi) ranges. */

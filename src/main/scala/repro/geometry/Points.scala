@@ -10,6 +10,12 @@ final class PointSet(val coords: Array[Double], val dim: Int) extends Serializab
   require(dim > 0, s"dim must be positive, got $dim")
   require(coords.length % dim == 0,
     s"coords length ${coords.length} is not a multiple of dim $dim")
+  locally {
+    var i = 0
+    while (i < coords.length && java.lang.Double.isFinite(coords(i))) i += 1
+    require(i == coords.length,
+      s"point ${i / dim} has a non-finite coordinate ${coords(i)} in dimension ${i % dim}")
+  }
 
   /** Number of points. */
   val n: Int = coords.length / dim

@@ -1,6 +1,7 @@
 package repro.kdtree
 
 import repro.geometry.PointSet
+import repro.par.WorkBudget
 
 /** Array-based spatial-median kd-tree (§2.3, §3.1.1).
   *
@@ -100,7 +101,11 @@ final class KdTree(
     * nearest neighbors, in non-decreasing order. Standard branch-and-bound
     * descent; used for HDBSCAN* core distances (cd = last element).
     */
-  def kNearestDistances(qi: Int, k: Int): Array[Double] = {
+  def kNearestDistances(qi: Int, k: Int): Array[Double] =
+    kNearestDistances(qi, k, WorkBudget.unlimited)
+
+  /** As above, charging `work` one unit per point or box distance. */
+  def kNearestDistances(qi: Int, k: Int, work: WorkBudget): Array[Double] = {
     val q = points.point(qi)
     // Bounded max-heap of the k best squared distances.
     val heap = new Array[Double](k)
@@ -131,6 +136,7 @@ final class KdTree(
     }
     def visit(a: Int): Unit = {
       if (isLeaf(a)) {
+        work.spend(size(a))
         var i = lo(a)
         while (i < hi(a)) {
           heapPush(points.dist2(perm(i), qi))
@@ -138,6 +144,7 @@ final class KdTree(
         }
       } else {
         val l = left(a); val r = right(a)
+        work.spend(2)
         val dl = boxDist2(l, q); val dr = boxDist2(r, q)
         val (first, second, dSecond) = if (dl <= dr) (l, r, dr) else (r, l, dl)
         visit(first)

@@ -7,13 +7,13 @@ import scala.reflect.ClassTag
 
 /** Read-only shared state visible inside parallel work items.
   *
-  * `SparkScheme` backs this with a `Broadcast`; `SeqScheme` with the value
-  * itself. Algorithms obtain one via [[ParScheme.share]] and call `.value`
+  * `SparkScheme` backs this with a `Broadcast`, made only once a task needs
+  * it; `SeqScheme` with the value itself. Algorithms obtain one via [[ParScheme.share]] and call `.value`
   * inside closures, so the same algorithm body runs under both schemes.
   */
 trait Shared[T] extends Serializable {
   def value: T
-  /** Releases any cluster-side resources (broadcast blocks). */
+  /** Releases any cluster-side resources (broadcast blocks, if made). */
   def release(): Unit = ()
 }
 
@@ -57,9 +57,15 @@ object SeqScheme extends ParScheme {
   override def targetTasks: Int = 1
 }
 
-/** Spark-backed execution: work items fan out over an RDD, shared state is
-  * broadcast once per algorithm run, and executor threads (local[*]) access
-  * it through shared memory.
+/** Spark-backed execution: work items fan out over an RDD, shared state
+  * reaches the executors as a `Broadcast`, and executor threads (local[*])
+  * access it through shared memory. Algorithms re-share per-round state
+  * (union-find components, the BCCP cache) every round.
+  *
+  * Sharing is lazy: `share` keeps the value on the driver and makes the
+  * `Broadcast` only when a task closure that holds the [[Shared]] is first
+  * serialized. A round that the algorithm finishes on the driver (see
+  * [[WorkBudget]]) therefore costs neither a job nor a broadcast.
   *
   * @param slices number of RDD partitions per fan-out (defaults to
   *               `defaultParallelism`)
@@ -80,15 +86,36 @@ final class SparkScheme(@transient val sc: SparkContext, slicesOpt: Option[Int] 
     else if (items.size == 1) f(items.head).toIndexedSeq
     else sc.parallelize(items, math.min(slices, items.size)).flatMap(f).collect().toIndexedSeq
 
-  override def share[T: ClassTag](v: T): Shared[T] = {
-    val b: Broadcast[T] = sc.broadcast(v)
-    new Shared[T] {
-      override def value: T = b.value
-      // Non-blocking: MemoGFK releases one broadcast per round and must not
-      // stall the round loop on block-manager cleanup.
-      override def release(): Unit = b.unpersist(blocking = false)
-    }
-  }
+  override def share[T: ClassTag](v: T): Shared[T] = new LazyBroadcast(sc, v)
 
   override def targetTasks: Int = slices * 4
+}
+
+/** The driver-side [[Shared]] of [[SparkScheme]]: `value` is the local
+  * value; serializing it (into a task closure) makes the `Broadcast` once
+  * and ships a [[BroadcastShared]] in its place.
+  */
+private final class LazyBroadcast[T: ClassTag](@transient sc: SparkContext, @transient v: T)
+    extends Shared[T] {
+  @transient private var made: Broadcast[T] = _
+
+  override def value: T = v
+
+  // Non-blocking: MemoGFK releases its shares every round and must not
+  // stall the round loop on block-manager cleanup.
+  override def release(): Unit = synchronized {
+    if (made != null) made.unpersist(blocking = false)
+  }
+
+  // Java serialization (Spark's closure serializer) calls this in place of
+  // writing the object; task serialization may run on the scheduler thread.
+  private def writeReplace(): AnyRef = synchronized {
+    if (made == null) made = sc.broadcast(v)
+    new BroadcastShared(made)
+  }
+}
+
+/** What a task holds in place of a [[LazyBroadcast]]. */
+private final class BroadcastShared[T](b: Broadcast[T]) extends Shared[T] {
+  override def value: T = b.value
 }

@@ -4,11 +4,11 @@ import scala.collection.mutable.ArrayBuffer
 
 import repro.kdtree.KdTree
 import repro.mst.Edge
-import repro.par.{ParScheme, Shared}
+import repro.par.{ParScheme, Shared, WorkBudget}
 
 /** Shared read-only context for WSPD traversals: the kd-tree plus, for
   * HDBSCAN*, per-point core distances and per-node core-distance stats.
-  * One instance is broadcast per algorithm run.
+  * One instance is shared per algorithm run.
   */
 final case class Ctx(
     tree: KdTree,
@@ -143,9 +143,16 @@ case object MutualReachMetric extends Metric {
 /** WSPD construction and the MemoGFK pruned traversals (Algorithms 1 & 3).
   *
   * Every traversal exists in one body that runs either fully sequentially
-  * or as a Spark fan-out: the top of the recursion is expanded breadth-first
-  * into independent (a, b) "FindPair" tasks, which executors then run
-  * against the broadcast [[Ctx]].
+  * or as a fan-out: the top of the recursion is expanded breadth-first into
+  * independent (a, b) "FindPair" tasks, which executors then run against
+  * the shared [[Ctx]] and per-round state (union-find components, BCCP
+  * cache), re-shared by the caller every round.
+  *
+  * Under a scheme that fans out, each traversal first runs sequentially on
+  * the driver against a [[WorkBudget]] of about one Spark job's cost. A
+  * traversal that finishes within it is the result and launches no job;
+  * otherwise its partial result is dropped and the fan-out runs, so the
+  * work wasted is at most one budget.
   */
 object Wspd extends Serializable {
 
@@ -185,8 +192,7 @@ object Wspd extends Serializable {
   ): IndexedSeq[Task] = {
     val t = c.tree
     val queue = scala.collection.mutable.Queue[Task](Task(t.root, t.root))
-    val ready = ArrayBuffer.empty[Task]
-    while (queue.nonEmpty && queue.size + ready.size < target) {
+    while (queue.nonEmpty && queue.size < target) {
       val Task(a, b) = queue.dequeue()
       if (a == b) {
         if (!t.isLeaf(a) && !pruneNode(a)) {
@@ -204,10 +210,13 @@ object Wspd extends Serializable {
         }
       }
     }
-    (ready ++ queue).toIndexedSeq
+    queue.toIndexedSeq
   }
 
-  /** Sequential FindPair recursion body shared by every traversal. */
+  /** Sequential FindPair recursion body shared by every traversal. Each
+    * node-pair visit charges `budget` one unit; once it is exhausted every
+    * pair and node is pruned, so the recursion unwinds without throwing.
+    */
   private def findPairsRec(
       c: Ctx,
       sep: Sep,
@@ -216,10 +225,11 @@ object Wspd extends Serializable {
       emit: (Int, Int) => Unit,
       pruneNode: Int => Boolean,
       prunePair: (Int, Int) => Boolean,
+      budget: WorkBudget,
   ): Unit = {
     val t = c.tree
     def pair(a: Int, b: Int): Unit =
-      if (!prunePair(a, b)) {
+      if (!budget.spend(1) && !prunePair(a, b)) {
         if (sep.wellSeparated(c, a, b)) emit(a, b)
         else {
           val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
@@ -228,7 +238,7 @@ object Wspd extends Serializable {
         }
       }
     def split(a: Int): Unit =
-      if (!t.isLeaf(a) && !pruneNode(a)) {
+      if (!t.isLeaf(a) && !budget.exhausted && !pruneNode(a)) {
         split(t.left(a))
         split(t.right(a))
         pair(t.left(a), t.right(a))
@@ -240,18 +250,22 @@ object Wspd extends Serializable {
     * `sep`. Parallel under `par` via frontier fan-out.
     */
   def allPairs(sc: Shared[Ctx], sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] = {
-    val c0 = sc.value
-    val head = ArrayBuffer.empty[(Int, Int)]
-    val tasks = expandFrontier(c0, sep, par.targetTasks,
-      (a, b) => head += ((a, b)), _ => false, (_, _) => false)
-    val rest = par.flatMapItems(tasks) { task =>
-      val c = sc.value
+    def pairsUnder(c: Ctx, a0: Int, b0: Int, budget: WorkBudget): ArrayBuffer[(Int, Int)] = {
       val buf = ArrayBuffer.empty[(Int, Int)]
-      findPairsRec(c, sep, task.a, task.b, (a, b) => buf += ((a, b)),
-        _ => false, (_, _) => false)
-      buf.toSeq
+      findPairsRec(c, sep, a0, b0, (a, b) => buf += ((a, b)), _ => false, (_, _) => false, budget)
+      buf
     }
-    (head ++ rest).toIndexedSeq
+    val c0 = sc.value
+    val root = c0.tree.root
+    WorkBudget.onDriver(par)(pairsUnder(c0, root, root, _).toIndexedSeq).getOrElse {
+      val head = ArrayBuffer.empty[(Int, Int)]
+      val tasks = expandFrontier(c0, sep, par.targetTasks,
+        (a, b) => head += ((a, b)), _ => false, (_, _) => false)
+      val rest = par.flatMapItems(tasks) { task =>
+        pairsUnder(sc.value, task.a, task.b, WorkBudget.unlimited).toSeq
+      }
+      (head ++ rest).toIndexedSeq
+    }
   }
 
   /** Per-node union-find purity: `nodeComp(a)` is the component root if all
@@ -292,7 +306,8 @@ object Wspd extends Serializable {
       scomp: Shared[Array[Int]],
       par: ParScheme,
   ): Double = {
-    def localRho(c: Ctx, comp: Array[Int], a0: Int, b0: Int, init: Double): Double = {
+    def localRho(c: Ctx, comp: Array[Int], a0: Int, b0: Int, init: Double,
+        budget: WorkBudget): Double = {
       val t = c.tree
       var rho = init
       findPairsRec(c, sep, a0, b0,
@@ -307,24 +322,30 @@ object Wspd extends Serializable {
           (comp(a) >= 0 && comp(a) == comp(b)) ||
           t.size(a).toLong + t.size(b) <= beta ||
           metric.lb(c, a, b) >= rho
-        })
+        },
+        budget)
       rho
     }
     val c0 = sc.value
     val comp0 = scomp.value
-    var headRho = Double.PositiveInfinity
     val t0 = c0.tree
-    val tasks = expandFrontier(c0, sep, par.targetTasks,
-      emit = (a, b) =>
-        if (t0.size(a).toLong + t0.size(b) > beta) {
-          val l = metric.lb(c0, a, b)
-          if (l < headRho) headRho = l
-        },
-      pruneNode = a => comp0(a) >= 0,
-      prunePair = (a, b) => comp0(a) >= 0 && comp0(a) == comp0(b))
-    val seed = headRho
-    val locals = par.mapItems(tasks)(task => localRho(sc.value, scomp.value, task.a, task.b, seed))
-    (locals :+ headRho).min
+    WorkBudget.onDriver(par)(
+      localRho(c0, comp0, t0.root, t0.root, Double.PositiveInfinity, _)).getOrElse {
+      var headRho = Double.PositiveInfinity
+      val tasks = expandFrontier(c0, sep, par.targetTasks,
+        emit = (a, b) =>
+          if (t0.size(a).toLong + t0.size(b) > beta) {
+            val l = metric.lb(c0, a, b)
+            if (l < headRho) headRho = l
+          },
+        pruneNode = a => comp0(a) >= 0,
+        prunePair = (a, b) => comp0(a) >= 0 && comp0(a) == comp0(b))
+      val seed = headRho
+      val locals = par.mapItems(tasks) { task =>
+        localRho(sc.value, scomp.value, task.a, task.b, seed, WorkBudget.unlimited)
+      }
+      (locals :+ headRho).min
+    }
   }
 
   /** Pack a node pair into one Long cache key. */
@@ -366,13 +387,14 @@ object Wspd extends Serializable {
         b0: Int,
         out: ArrayBuffer[Edge],
         fresh: ArrayBuffer[(Long, Edge)],
+        budget: WorkBudget,
     ): Unit =
       findPairsRec(c, sep, a0, b0,
         emit = (a, b) => {
           // Bounds may not exclude the pair, but the exact BCCP decides.
           val key = pairKey(a, b)
           var e = cache.get(key)
-          if (e == null) {
+          if (e == null && !budget.spend(c.tree.size(a).toLong * c.tree.size(b))) {
             e = metric.bccp(c, a, b)
             // Cache every large computed pair: out-of-window pairs (above OR
             // below — a below-window pair survives when its edge was made
@@ -381,38 +403,47 @@ object Wspd extends Serializable {
             if (c.tree.size(a) + c.tree.size(b) >= CacheMinCardinality)
               fresh += ((key, e))
           }
-          if (e.w >= rhoLo && e.w < rhoHi) out += e
+          if (e != null && e.w >= rhoLo && e.w < rhoHi) out += e
         },
         pruneNode = a => comp(a) >= 0,
         prunePair = (a, b) => {
           (comp(a) >= 0 && comp(a) == comp(b)) ||
           lbPrunes(metric.lb(c, a, b), rhoHi) ||
           ubPrunes(metric.ub(c, a, b), rhoLo)
-        })
+        },
+        budget)
     val c0 = sc.value
     val comp0 = scomp.value
-    val headEdges = ArrayBuffer.empty[Edge]
-    val headFresh = ArrayBuffer.empty[(Long, Edge)]
-    val headPairs = ArrayBuffer.empty[(Int, Int)]
-    val tasks = expandFrontier(c0, sep, par.targetTasks,
-      emit = (a, b) => headPairs += ((a, b)),
-      pruneNode = a => comp0(a) >= 0,
-      prunePair = (a, b) => {
-        (comp0(a) >= 0 && comp0(a) == comp0(b)) ||
-        lbPrunes(metric.lb(c0, a, b), rhoHi) ||
-        ubPrunes(metric.ub(c0, a, b), rhoLo)
-      })
-    headPairs.foreach { case (a, b) =>
-      run(c0, comp0, scache.value, a, b, headEdges, headFresh)
-    }
-    val rest = par.flatMapItems(tasks) { task =>
+    val root = c0.tree.root
+    WorkBudget.onDriver(par) { budget =>
       val out = ArrayBuffer.empty[Edge]
       val fresh = ArrayBuffer.empty[(Long, Edge)]
-      run(sc.value, scomp.value, scache.value, task.a, task.b, out, fresh)
-      Seq((out.toIndexedSeq, fresh.toIndexedSeq))
+      run(c0, comp0, scache.value, root, root, out, fresh, budget)
+      PairsRound(out.toIndexedSeq, fresh.toIndexedSeq)
+    }.getOrElse {
+      val headEdges = ArrayBuffer.empty[Edge]
+      val headFresh = ArrayBuffer.empty[(Long, Edge)]
+      val headPairs = ArrayBuffer.empty[(Int, Int)]
+      val tasks = expandFrontier(c0, sep, par.targetTasks,
+        emit = (a, b) => headPairs += ((a, b)),
+        pruneNode = a => comp0(a) >= 0,
+        prunePair = (a, b) => {
+          (comp0(a) >= 0 && comp0(a) == comp0(b)) ||
+          lbPrunes(metric.lb(c0, a, b), rhoHi) ||
+          ubPrunes(metric.ub(c0, a, b), rhoLo)
+        })
+      headPairs.foreach { case (a, b) =>
+        run(c0, comp0, scache.value, a, b, headEdges, headFresh, WorkBudget.unlimited)
+      }
+      val rest = par.flatMapItems(tasks) { task =>
+        val out = ArrayBuffer.empty[Edge]
+        val fresh = ArrayBuffer.empty[(Long, Edge)]
+        run(sc.value, scomp.value, scache.value, task.a, task.b, out, fresh, WorkBudget.unlimited)
+        Seq((out.toIndexedSeq, fresh.toIndexedSeq))
+      }
+      PairsRound(
+        (headEdges ++ rest.flatMap(_._1)).toIndexedSeq,
+        (headFresh ++ rest.flatMap(_._2)).toIndexedSeq)
     }
-    PairsRound(
-      (headEdges ++ rest.flatMap(_._1)).toIndexedSeq,
-      (headFresh ++ rest.flatMap(_._2)).toIndexedSeq)
   }
 }

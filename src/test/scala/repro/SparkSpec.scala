@@ -1,5 +1,9 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +20,37 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` and returns the number of Spark jobs it started, with its
+    * result. Jobs are told apart by a local property of this thread; a
+    * closing marker job makes sure the listener has seen every earlier job.
+    */
+  def jobsDuring[T](body: => T): (Int, T) = {
+    val sc = spark.sparkContext
+    val key = "repro.test.jobTag"
+    val tag = java.util.UUID.randomUUID().toString
+    val jobs = new AtomicInteger
+    val marker = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty(key)).foreach { t =>
+          if (t == tag) jobs.incrementAndGet()
+          else if (t == tag + "-end") marker.countDown()
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(key, tag)
+      val result = body
+      sc.setLocalProperty(key, tag + "-end")
+      sc.parallelize(1 to 2, 2).count()
+      assert(marker.await(60, TimeUnit.SECONDS), "listener never saw the marker job")
+      (jobs.get, result)
+    } finally {
+      sc.setLocalProperty(key, null)
+      sc.removeSparkListener(listener)
+    }
+  }
 }
 
 object SparkSpec {

@@ -15,6 +15,17 @@ class EmstSpec extends AnyFunSuite {
     ("memogfk", ps => EmstMemoGfk.mst(ps, SeqScheme)),
   )
 
+  test("EMST and HDBSCAN* entry points reject a NaN coordinate") {
+    val ps = () => {
+      val coords = TestUtil.randomPoints(50, 3, 21).coords.clone()
+      coords(3 * 17 + 1) = Double.NaN
+      new repro.geometry.PointSet(coords, 3)
+    }
+    intercept[IllegalArgumentException](EmstMemoGfk.mst(ps(), SeqScheme))
+    intercept[IllegalArgumentException](EmstGfk.mst(ps(), SeqScheme))
+    intercept[IllegalArgumentException](Hdbscan.mst(ps(), 5, MemoGfk, SeqScheme))
+  }
+
   test("all EMST algorithms match dense Prim weight on random data") {
     for ((name, algo) <- algos; dim <- Seq(1, 2, 3, 5); seed <- Seq(1L, 2L)) {
       val ps = TestUtil.randomPoints(120, dim, seed)

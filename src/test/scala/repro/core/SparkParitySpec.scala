@@ -4,7 +4,7 @@ import repro.{SparkSpec, TestUtil}
 import repro.geometry.Generators
 import repro.kdtree.KdTree
 import repro.par.{SeqScheme, SparkScheme}
-import repro.wspd.{Ctx, GeometricSep, MutualUnreachableSep, Wspd}
+import repro.wspd.{Ctx, GeometricSep, MutualReachMetric, MutualUnreachableSep, Wspd}
 
 /** Every algorithm must produce identical results under the sequential
   * scheme and the Spark RDD fan-out scheme — the paper's "1 thread" vs
@@ -24,6 +24,47 @@ class SparkParitySpec extends SparkSpec {
       val parPairs = Wspd.allPairs(sc, GeometricSep(2.0), par).toSet
       assert(parPairs == seqPairs)
     } finally sc.release()
+  }
+
+  // Rounds within one WorkBudget stay on the driver, so the small inputs
+  // above never launch a WSPD job. The inputs below are large enough that
+  // some traversals exceed the budget and fan out.
+
+  test("small MemoGFK EMST under Spark runs no job and does the same work as Seq") {
+    val ps = Generators.ssVarden(500, 2, 4)
+    val seq = EmstMemoGfk.mst(ps, SeqScheme)
+    val (jobs, spk) = jobsDuring(EmstMemoGfk.mst(ps, par))
+    assert(jobs == 0)
+    assert(spk.stats == seq.stats)
+    assert(spk.edges == seq.edges)
+  }
+
+  test("HDBSCAN*-MemoGFK on 4K GeoLife-like points fans out a WSPD round and equals Seq") {
+    val ps = Generators.geoLifeLike(4000, 1)
+    val tree = KdTree.build(ps)
+    val ctx = Ctx.mutualReach(tree, CoreDist.compute(tree, 10, SeqScheme))
+    val seq = MemoGfkEngine.mst(ctx, MemoGfk.sep, MutualReachMetric, SeqScheme)
+    val (jobs, spk) = jobsDuring(MemoGfkEngine.mst(ctx, MemoGfk.sep, MutualReachMetric, par))
+    assert(jobs >= 1, "no WSPD traversal exceeded the budget")
+    assert(spk.edges.size == ps.n - 1)
+    TestUtil.assertSameWeight(seq.edges, spk.edges)
+  }
+
+  test("7D WSPD and MemoGFK EMST fan out GetRho, GetPairs and allPairs and equal Seq") {
+    val ps = Generators.uniformFill(2000, 7, 1)
+    val c = Ctx.euclidean(KdTree.build(ps))
+    val seqPairs = Wspd.allPairs(SeqScheme.share(c), GeometricSep(2.0), SeqScheme).toSet
+    val sc = par.share(c)
+    try {
+      val (jobs, parPairs) = jobsDuring(Wspd.allPairs(sc, GeometricSep(2.0), par))
+      assert(jobs == 1)
+      assert(parPairs.toSet == seqPairs)
+    } finally sc.release()
+    // GetRho in round 2 and GetPairs in rounds 2 and 3 exceed the budget here.
+    val (jobs, spk) = jobsDuring(EmstMemoGfk.mst(ps, par))
+    assert(jobs >= 2)
+    TestUtil.assertSameWeight(spk.edges, EmstMemoGfk.mst(ps, SeqScheme).edges)
+    TestUtil.assertSameWeight(spk.edges, TestUtil.bruteEmst(ps))
   }
 
   test("EMST-Naive spark equals seq") {

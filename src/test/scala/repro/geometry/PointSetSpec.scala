@@ -44,6 +44,15 @@ class PointSetSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new PointSet(new Array[Double](4), 0))
   }
 
+  test("constructor rejects NaN and infinite coordinates, naming the point") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val coords = Array(0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+      coords(3) = bad
+      val e = intercept[IllegalArgumentException](new PointSet(coords, 2))
+      assert(e.getMessage.contains("point 1"), e.getMessage)
+    }
+  }
+
   test("point(i) returns an independent copy") {
     val ps = TestUtil.randomPoints(5, 2, seed = 3)
     val p = ps.point(1)
