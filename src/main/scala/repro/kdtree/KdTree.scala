@@ -97,6 +97,25 @@ final class KdTree(
     s
   }
 
+  /** Squared distance between the boxes of nodes `a` and `b`, 0 if they
+    * overlap. It sums per-dimension gaps in the order `PointSet.dist2` sums
+    * its terms, and each gap is at most the matching coordinate difference
+    * of any cross pair; rounding is monotone, so the result never exceeds
+    * any cross pair's `dist2`, even in floating point.
+    */
+  def boxDist2(a: Int, b: Int): Double = {
+    var s = 0.0
+    var k = 0
+    while (k < dim) {
+      val aLo = boxMin(a * dim + k); val aHi = boxMax(a * dim + k)
+      val bLo = boxMin(b * dim + k); val bHi = boxMax(b * dim + k)
+      val d = if (aHi < bLo) bLo - aHi else if (bHi < aLo) aLo - bHi else 0.0
+      s += d * d
+      k += 1
+    }
+    s
+  }
+
   /** Distances (including self, which is 0) from point `qi` to its `k`
     * nearest neighbors, in non-decreasing order. Standard branch-and-bound
     * descent; used for HDBSCAN* core distances (cd = last element).

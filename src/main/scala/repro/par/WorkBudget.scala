@@ -1,9 +1,9 @@
 package repro.par
 
 /** A count of work units a driver-side traversal may spend before it gives
-  * up. One unit is one node-pair visit or one distance evaluation (a BCCP
-  * over nodes A and B charges |A|·|B| before it runs; a k-NN query charges
-  * each box or point distance it evaluates).
+  * up. One unit is one node-pair visit or one distance evaluation (BCCP*
+  * and k-NN queries charge each box or point distance they evaluate; the
+  * Euclidean BCCP scan over nodes A and B charges |A|·|B| before it runs).
   *
   * Traversals do not throw when the budget runs out: they check
   * [[spend]] in their prune test, so the recursion unwinds on its own.
@@ -29,12 +29,15 @@ object WorkBudget {
     * medians with JIT warmed up:
     *   - one `parallelize(16 items, 4).map.collect()` job: 12–15 ms of driver
     *     wall time (17–24 ms over a JVM's first few hundred jobs);
-    *   - sequential traversals, per unit: GetRho 51 ns, GetPairs 9 ns
-    *     (mostly BCCP distance evaluations) and k-NN core distances 56 ns
-    *     on 4K GeoLife-like points with minPts = 10; `allPairs` 116 ns on
-    *     5K 3D SS-varden points.
-    * 15 ms at 30 ns per unit is 500K units; over the measured per-unit range
-    * the budget is 4.5–58 ms of driver work.
+    *   - sequential traversals, per unit: GetRho 51 ns, GetPairs 63–70 ns
+    *     (node-pair visits and dual-tree BCCP* bounds and distances) and
+    *     k-NN core distances 56 ns on 4K GeoLife-like points with
+    *     minPts = 10; `allPairs` 116 ns on 5K 3D SS-varden points.
+    * Over that range the budget is 25–58 ms of driver work, two to four
+    * jobs. It is not cut to one job's worth (about 250K units) because a
+    * fan-out of that size does not finish sooner: the 16 frontier tasks
+    * go to 4 contiguous partitions, and one measured GetPairs fan-out took
+    * 61 ms of driver wall time for 49 ms of summed task time.
     */
   val OneSparkJob: Long = 500000L
 

@@ -73,8 +73,16 @@ case object MutualUnreachableSep extends Sep {
 sealed trait Metric extends Serializable {
   def lb(c: Ctx, a: Int, b: Int): Double
   def ub(c: Ctx, a: Int, b: Int): Double
-  /** Exact bichromatic closest pair of (a, b) under this metric. */
-  def bccp(c: Ctx, a: Int, b: Int): Edge
+
+  /** Exact bichromatic closest pair of (a, b) under this metric: the first
+    * minimum in A×B order of the kd-tree permutation.
+    */
+  final def bccp(c: Ctx, a: Int, b: Int): Edge = bccp(c, a, b, WorkBudget.unlimited)
+
+  /** As above, charging `work` for the distances it evaluates. Once `work`
+    * is exhausted the result is meaningless and must be dropped.
+    */
+  def bccp(c: Ctx, a: Int, b: Int, work: WorkBudget): Edge
 }
 
 /** Plain Euclidean distance (EMST). */
@@ -82,8 +90,10 @@ case object EuclidMetric extends Metric {
   override def lb(c: Ctx, a: Int, b: Int): Double = c.tree.sphereDist(a, b)
   override def ub(c: Ctx, a: Int, b: Int): Double = c.tree.sphereMaxDist(a, b)
 
-  override def bccp(c: Ctx, a: Int, b: Int): Edge = {
+  /** Brute-force scan, charging |A|·|B| before it runs. */
+  override def bccp(c: Ctx, a: Int, b: Int, work: WorkBudget): Edge = {
     val t = c.tree
+    if (work.spend(t.size(a).toLong * t.size(b))) return Edge(-1, -1, Double.PositiveInfinity)
     val ps = t.points
     var bi = -1; var bj = -1
     var best2 = Double.PositiveInfinity
@@ -113,31 +123,85 @@ case object MutualReachMetric extends Metric {
   override def ub(c: Ctx, a: Int, b: Int): Double =
     math.max(c.tree.sphereMaxDist(a, b), math.max(c.cdMax(a), c.cdMax(b)))
 
-  override def bccp(c: Ctx, a: Int, b: Int): Edge = {
-    val t = c.tree
-    val ps = t.points
-    val cd = c.coreDist
-    var bi = -1; var bj = -1
-    var best = Double.PositiveInfinity
+  /** Dual-tree search (March et al., KDD 2010), see [[BccpStarSearch]]. */
+  override def bccp(c: Ctx, a: Int, b: Int, work: WorkBudget): Edge =
+    new BccpStarSearch(c, work).run(a, b)
+}
+
+/** One exact dual-tree BCCP* over kd-subtrees A and B. A sub-pair (A', B')
+  * is pruned when its bound max(box distance, cd_min(A'), cd_min(B')) is
+  * above the best weight so far; the closer half of a split is searched
+  * first, and blocks of at most [[BccpStarSearch.ScanBlock]] pairs are
+  * scanned directly.
+  *
+  * The result is the edge a row-by-row scan of A×B in permutation order
+  * returns, its first minimum: the incumbent keeps its permutation
+  * positions, and on a tie a sub-pair is searched only if (lo(A'), lo(B'))
+  * comes before them. The bound never exceeds a cross pair's weight, even
+  * in floating point (see [[KdTree.boxDist2]]), so no slack is needed.
+  *
+  * Charges `work` one unit per box bound and per point distance; once it
+  * is exhausted everything is pruned.
+  */
+private final class BccpStarSearch(c: Ctx, work: WorkBudget) {
+  private val t = c.tree
+  private val ps = t.points
+  private val cd = c.coreDist
+  private var best = Double.PositiveInfinity
+  private var bi = -1 // permutation positions of the incumbent edge
+  private var bj = -1
+
+  def run(a: Int, b: Int): Edge = {
+    work.spend(1)
+    visit(a, b, bound(a, b))
+    if (bi < 0) Edge(-1, -1, best) else Edge(t.perm(bi), t.perm(bj), best)
+  }
+
+  private def bound(a: Int, b: Int): Double =
+    math.max(math.sqrt(t.boxDist2(a, b)), math.max(c.cdMin(a), c.cdMin(b)))
+
+  /** True iff position pair (i, j) comes before the incumbent's. */
+  @inline private def before(i: Int, j: Int): Boolean = i < bi || (i == bi && j < bj)
+
+  private def visit(a: Int, b: Int, lb: Double): Unit =
+    if (!work.exhausted && (lb < best || (lb == best && before(t.lo(a), t.lo(b))))) {
+      if (t.size(a).toLong * t.size(b) <= BccpStarSearch.ScanBlock) scan(a, b)
+      else if (!t.isLeaf(a) && (t.isLeaf(b) || t.size(a) >= t.size(b)))
+        closerFirst(t.left(a), b, t.right(a), b)
+      else closerFirst(a, t.left(b), a, t.right(b))
+    }
+
+  private def closerFirst(a1: Int, b1: Int, a2: Int, b2: Int): Unit = {
+    work.spend(2)
+    val l1 = bound(a1, b1)
+    val l2 = bound(a2, b2)
+    if (l2 < l1) { visit(a2, b2, l2); visit(a1, b1, l1) }
+    else { visit(a1, b1, l1); visit(a2, b2, l2) }
+  }
+
+  private def scan(a: Int, b: Int): Unit = {
     var i = t.lo(a)
     while (i < t.hi(a)) {
       val pi = t.perm(i)
       val cdi = cd(pi)
-      if (cdi < best) { // points with cd >= current best cannot improve
+      if (cdi <= best) { // a row whose cd is above the best cannot improve
+        work.spend(t.size(b))
         var j = t.lo(b)
         while (j < t.hi(b)) {
           val pj = t.perm(j)
           val w = math.max(math.max(cdi, cd(pj)), ps.dist(pi, pj))
-          if (w < best) { best = w; bi = pi; bj = pj }
+          if (w < best || (w == best && before(i, j))) { best = w; bi = i; bj = j }
           j += 1
         }
       }
       i += 1
     }
-    // All candidate cds >= an earlier best: fall back to an exhaustive pass
-    // guard — cannot happen because the first row is always evaluated.
-    Edge(bi, bj, best)
   }
+}
+
+private object BccpStarSearch {
+  /** Sub-pairs with at most this many cross pairs are scanned, not split. */
+  val ScanBlock: Int = 16
 }
 
 /** WSPD construction and the MemoGFK pruned traversals (Algorithms 1 & 3).
@@ -394,8 +458,8 @@ object Wspd extends Serializable {
           // Bounds may not exclude the pair, but the exact BCCP decides.
           val key = pairKey(a, b)
           var e = cache.get(key)
-          if (e == null && !budget.spend(c.tree.size(a).toLong * c.tree.size(b))) {
-            e = metric.bccp(c, a, b)
+          if (e == null) {
+            e = metric.bccp(c, a, b, budget)
             // Cache every large computed pair: out-of-window pairs (above OR
             // below — a below-window pair survives when its edge was made
             // redundant but its nodes still span several components) are
@@ -403,7 +467,7 @@ object Wspd extends Serializable {
             if (c.tree.size(a) + c.tree.size(b) >= CacheMinCardinality)
               fresh += ((key, e))
           }
-          if (e != null && e.w >= rhoLo && e.w < rhoHi) out += e
+          if (e.w >= rhoLo && e.w < rhoHi) out += e
         },
         pruneNode = a => comp(a) >= 0,
         prunePair = (a, b) => {

@@ -4,6 +4,7 @@ import java.util.Random
 
 import repro.geometry.PointSet
 import repro.mst.{Edge, Prim}
+import repro.wspd.Ctx
 
 /** Shared brute-force oracles and fixtures for the test suites. */
 object TestUtil {
@@ -26,6 +27,14 @@ object TestUtil {
       i += 1
     }
     new PointSet(coords, dim)
+  }
+
+  /** `n` points on the integer lattice [0, side)^dim: many exact
+    * duplicates and equal distances, so ties everywhere.
+    */
+  def latticePoints(n: Int, dim: Int, seed: Long, side: Int): PointSet = {
+    val rnd = new Random(seed)
+    new PointSet(Array.fill(n * dim)(rnd.nextInt(side).toDouble), dim)
   }
 
   /** Clustered points (two Gaussian blobs + noise) for skewed-shape tests. */
@@ -64,6 +73,21 @@ object TestUtil {
   def bruteMutualReachMst(ps: PointSet, minPts: Int): IndexedSeq[Edge] = {
     val cd = bruteCoreDist(ps, minPts)
     Prim.denseMst(ps.n, (i, j) => math.max(math.max(cd(i), cd(j)), ps.dist(i, j)))
+  }
+
+  /** BCCP* of disjoint nodes `a` and `b` by a scan of A×B in kd-tree
+    * permutation order: the first pair of minimum mutual reachability.
+    */
+  def firstMinBccpStar(c: Ctx, a: Int, b: Int): Edge = {
+    val t = c.tree
+    val cd = c.coreDist
+    var best = Edge(-1, -1, Double.PositiveInfinity)
+    for (i <- t.lo(a) until t.hi(a); j <- t.lo(b) until t.hi(b)) {
+      val (p, q) = (t.perm(i), t.perm(j))
+      val w = math.max(math.max(cd(p), cd(q)), t.points.dist(p, q))
+      if (w < best.w) best = Edge(p, q, w)
+    }
+    best
   }
 
   /** Brute-force DBSCAN* labels (§2.1): clusters are the connected

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
 import repro.geometry.{Generators, PointSet}
+import repro.mst.Prim
 import repro.par.SeqScheme
 
 /** Fine-grained correctness matrix: one registered test per
@@ -58,7 +59,7 @@ class AlgorithmMatrixSpec extends AnyFunSuite {
     // Tie-heavy inputs (duplicates) exercise the deterministic tie-breaking.
     val d = Dendrogram.buildSequential(ps.n, mst, s = 0)
     val (order, bars) = d.reachabilityPlot()
-    val (wantOrder, wantBars) = Prim0.treeOrder(ps.n, mst, 0)
+    val (wantOrder, wantBars) = Prim.treeOrder(ps.n, mst, 0)
     assert(order.sameElements(wantOrder))
     bars.zip(wantBars).foreach { case (a, b) => assert(a == b || math.abs(a - b) < 1e-12) }
   }
@@ -73,11 +74,5 @@ class AlgorithmMatrixSpec extends AnyFunSuite {
     val par = Dendrogram.buildParallel(ps.n, mst, s = 0, cutoff = cutoff)
     assert(par.root == seq.root)
     assert(par.left.sameElements(seq.left) && par.right.sameElements(seq.right))
-  }
-
-  // Alias to keep the import section tidy inside the loops above.
-  private object Prim0 {
-    def treeOrder(n: Int, edges: IndexedSeq[repro.mst.Edge], s: Int): (Array[Int], Array[Double]) =
-      repro.mst.Prim.treeOrder(n, edges, s)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestUtil}
-import repro.geometry.Generators
+import repro.geometry.{Generators, PointSet}
 import repro.kdtree.KdTree
 import repro.par.{SeqScheme, SparkScheme}
 import repro.wspd.{Ctx, GeometricSep, MutualReachMetric, MutualUnreachableSep, Wspd}
@@ -27,8 +27,8 @@ class SparkParitySpec extends SparkSpec {
   }
 
   // Rounds within one WorkBudget stay on the driver, so the small inputs
-  // above never launch a WSPD job. The inputs below are large enough that
-  // some traversals exceed the budget and fan out.
+  // above never launch a WSPD job. Below, the tests that expect jobs use
+  // inputs large enough that some traversals exceed the budget and fan out.
 
   test("small MemoGFK EMST under Spark runs no job and does the same work as Seq") {
     val ps = Generators.ssVarden(500, 2, 4)
@@ -39,15 +39,28 @@ class SparkParitySpec extends SparkSpec {
     assert(spk.edges == seq.edges)
   }
 
-  test("HDBSCAN*-MemoGFK on 4K GeoLife-like points fans out a WSPD round and equals Seq") {
-    val ps = Generators.geoLifeLike(4000, 1)
+  /** HDBSCAN*-MemoGFK (minPts 10) on `ps` under Seq, then under Spark with
+    * the number of jobs the Spark run launched.
+    */
+  private def hdbscanSeqAndSpark(ps: PointSet): (MstResult, Int, MstResult) = {
     val tree = KdTree.build(ps)
     val ctx = Ctx.mutualReach(tree, CoreDist.compute(tree, 10, SeqScheme))
     val seq = MemoGfkEngine.mst(ctx, MemoGfk.sep, MutualReachMetric, SeqScheme)
     val (jobs, spk) = jobsDuring(MemoGfkEngine.mst(ctx, MemoGfk.sep, MutualReachMetric, par))
+    (seq, jobs, spk)
+  }
+
+  test("HDBSCAN*-MemoGFK on 4K GeoLife-like points runs no job and does the same work as Seq") {
+    val (seq, jobs, spk) = hdbscanSeqAndSpark(Generators.geoLifeLike(4000, 1))
+    assert(jobs == 0)
+    assert(spk.stats == seq.stats)
+    assert(spk.edges == seq.edges)
+  }
+
+  test("HDBSCAN*-MemoGFK on 4K 5D uniform points fans out a WSPD round and equals Seq") {
+    val (seq, jobs, spk) = hdbscanSeqAndSpark(Generators.uniformFill(4000, 5, 1))
     assert(jobs >= 1, "no WSPD traversal exceeded the budget")
-    assert(spk.edges.size == ps.n - 1)
-    TestUtil.assertSameWeight(seq.edges, spk.edges)
+    assert(spk.edges == seq.edges)
   }
 
   test("7D WSPD and MemoGFK EMST fan out GetRho, GetPairs and allPairs and equal Seq") {

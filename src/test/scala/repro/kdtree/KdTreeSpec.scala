@@ -97,6 +97,30 @@ class KdTreeSpec extends AnyFunSuite {
     assert(t.boxDist2(t.root, outside) > 0.0)
   }
 
+  test("node-to-node boxDist2 is at most every cross pair's dist2, with no slack") {
+    for (ps <- Seq(TestUtil.randomPoints(120, 3, 12), TestUtil.latticePoints(120, 2, 13, 6),
+        TestUtil.randomPoints(120, 2, 14, side = 1e-3))) {
+      val t = KdTree.build(ps)
+      val rnd = new java.util.Random(15)
+      for (_ <- 0 until 300) {
+        val a = rnd.nextInt(t.nNodes)
+        val b = rnd.nextInt(t.nNodes)
+        val g = t.boxDist2(a, b)
+        assert(g == t.boxDist2(b, a))
+        for (i <- t.pointsUnder(a); j <- t.pointsUnder(b)) assert(g <= ps.dist2(i, j))
+        val overlap = (0 until t.dim).forall { k =>
+          t.boxMin(a * t.dim + k) <= t.boxMax(b * t.dim + k) &&
+          t.boxMin(b * t.dim + k) <= t.boxMax(a * t.dim + k)
+        }
+        assert((g == 0.0) == overlap, s"nodes $a, $b: boxDist2 $g, overlap $overlap")
+      }
+      // A node's box contains its children's, so they overlap.
+      for (a <- 0 until t.nNodes if !t.isLeaf(a)) {
+        assert(t.boxDist2(a, a) == 0.0 && t.boxDist2(a, t.left(a)) == 0.0)
+      }
+    }
+  }
+
   test("kNearestDistances matches brute force for various k") {
     for (d <- Seq(2, 3, 5); leafSize <- Seq(1, 8)) {
       val ps = TestUtil.randomPoints(150, d, seed = 20 + d)

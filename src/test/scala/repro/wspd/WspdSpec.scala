@@ -3,9 +3,11 @@ package repro.wspd
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
+import repro.core.{CoreDist, MemoGfk}
+import repro.geometry.Generators
 import repro.kdtree.KdTree
-import repro.mst.UnionFind
-import repro.par.SeqScheme
+import repro.mst.{Edge, UnionFind}
+import repro.par.{SeqScheme, WorkBudget}
 
 class WspdSpec extends AnyFunSuite {
 
@@ -233,6 +235,45 @@ class MetricSpec extends AnyFunSuite {
         assert(math.abs(dm(got.u, got.v) - got.w) < 1e-12)
       }
     }
+  }
+
+  test("MutualReachMetric.bccp returns the first-minimum scan's edge, ties included") {
+    val inputs = Seq(
+      "random" -> TestUtil.randomPoints(300, 3, 5),
+      "duplicates" -> TestUtil.pointsWithDuplicates(300, 2, 6),
+      "lattice 2D" -> TestUtil.latticePoints(300, 2, 7, side = 12),
+      "lattice 3D" -> TestUtil.latticePoints(300, 3, 8, side = 5))
+    for ((name, ps) <- inputs; minPts <- Seq(1, 5)) {
+      val c = Ctx.mutualReach(KdTree.build(ps), TestUtil.bruteCoreDist(ps, minPts))
+      val t = c.tree
+      val rnd = new java.util.Random(minPts)
+      // Children of one node (often large), then random node pairs.
+      val siblings = (0 until t.nNodes).filterNot(t.isLeaf).map(p => (t.left(p), t.right(p)))
+      val random = Seq.fill(400)((rnd.nextInt(t.nNodes), rnd.nextInt(t.nNodes)))
+      val disjoint = (siblings ++ random).filter { case (a, b) => t.hi(a) <= t.lo(b) || t.hi(b) <= t.lo(a) }
+      assert(disjoint.count { case (a, b) => t.size(a) * t.size(b) > 16 } > 50)
+      for ((a, b) <- disjoint) {
+        assert(MutualReachMetric.bccp(c, a, b) == TestUtil.firstMinBccpStar(c, a, b),
+          s"$name, minPts $minPts, nodes ($a, $b)")
+      }
+    }
+  }
+
+  test("budgeted BCCP* equals the unlimited one and charges less than |A|·|B|") {
+    val ps = Generators.geoLifeLike(4000, 1)
+    val tree = KdTree.build(ps)
+    val c = Ctx.mutualReach(tree, CoreDist.compute(tree, 10, SeqScheme))
+    val pairs = Wspd.allPairs(SeqScheme.share(c), MemoGfk.sep, SeqScheme)
+    val (a, b) = pairs.maxBy { case (a, b) => tree.size(a).toLong * tree.size(b) }
+    val cross = tree.size(a).toLong * tree.size(b)
+    val work = new WorkBudget(cross - 1)
+    val e = MutualReachMetric.bccp(c, a, b, work)
+    assert(!work.exhausted, s"charged at least |A|·|B| = $cross")
+    assert(e == MutualReachMetric.bccp(c, a, b))
+    assert(e == TestUtil.firstMinBccpStar(c, a, b))
+    // An exhausted budget prunes the whole search.
+    val none = new WorkBudget(0)
+    assert(MutualReachMetric.bccp(c, a, b, none) == Edge(-1, -1, Double.PositiveInfinity))
   }
 
   test("metric lb/ub bracket the exact BCCP for both metrics") {
