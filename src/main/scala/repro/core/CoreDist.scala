@@ -8,9 +8,9 @@ import repro.par.{ParScheme, WorkBudget}
 /** HDBSCAN* core distances: cd(p) = distance from p to its minPts-nearest
   * neighbor, including p itself (§2.1). Computed with parallel k-NN queries
   * against the kd-tree — point ids are chunked into work items and each
-  * Spark task answers its chunk against the shared tree. Under a scheme
-  * that fans out, the driver first answers chunks in order until it has
-  * spent one [[WorkBudget]]; only the remaining chunks fan out.
+  * Spark task answers its chunk against the shared tree. The driver first
+  * answers chunks in order until it has spent one [[WorkBudget]] (all of
+  * them under Seq); only the remaining chunks fan out.
   */
 object CoreDist {
 
@@ -21,11 +21,10 @@ object CoreDist {
     try {
       val chunks = chunkRanges(n, par.targetTasks * 4)
       val parts = ArrayBuffer.empty[Array[Double]]
-      WorkBudget.forDriver(par).foreach { budget =>
-        while (parts.size < chunks.size && !budget.exhausted) {
-          val (lo, hi) = chunks(parts.size)
-          parts += coreDists(tree, minPts, lo, hi, budget)
-        }
+      val budget = WorkBudget.forDriver(par)
+      while (parts.size < chunks.size && !budget.exhausted) {
+        val (lo, hi) = chunks(parts.size)
+        parts += coreDists(tree, minPts, lo, hi, budget)
       }
       parts ++= par.mapItems(chunks.drop(parts.size)) { case (lo, hi) =>
         coreDists(sharedTree.value, minPts, lo, hi, WorkBudget.unlimited)

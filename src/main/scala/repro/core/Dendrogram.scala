@@ -53,9 +53,6 @@ final class Dendrogram(
     require(count == n, s"dendrogram traversal visited $count of $n leaves")
     (order, bars)
   }
-
-  /** Height (edge weight) of each internal node, indexed by edge id. */
-  def heights: Array[Double] = weight.clone()
 }
 
 object Dendrogram {

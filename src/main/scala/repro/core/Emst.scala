@@ -9,29 +9,16 @@ import repro.par.ParScheme
 import repro.wspd.{Ctx, EuclidMetric, GeometricSep, Wspd}
 
 /** EMST-Naive (§5): materialize the full WSPD, compute the BCCP of every
-  * pair, and run Kruskal over all the resulting edges.
+  * pair, and run Kruskal over all the resulting edges. That is EMST-GFK
+  * started at β = ∞: its one round takes every pair, with ρ_hi = ∞.
   */
 object EmstNaive {
 
   /** @param pairBudget abort (mirroring the paper's OOM "-" cells) if the
     *                   materialized WSPD exceeds this many pairs
     */
-  def mst(ps: PointSet, par: ParScheme, pairBudget: Long = Long.MaxValue): MstResult = {
-    val tree = KdTree.build(ps)
-    val ctx = Ctx.euclidean(tree)
-    val sep = GeometricSep(2.0)
-    val sharedCtx = par.share(ctx)
-    try {
-      val pairs = Wspd.allPairs(sharedCtx, sep, par)
-      if (pairs.size > pairBudget)
-        throw new PairBudgetExceeded(pairs.size, pairBudget)
-      val edges = par.mapItems(pairs) { case (a, b) =>
-        EuclidMetric.bccp(sharedCtx.value, a, b)
-      }
-      val mst = Kruskal.mst(ps.n, edges)
-      MstResult(mst, MstStats(pairs.size, pairs.size, pairs.size, rounds = 1))
-    } finally sharedCtx.release()
-  }
+  def mst(ps: PointSet, par: ParScheme, pairBudget: Long = Long.MaxValue): MstResult =
+    EmstGfk.run(ps, par, pairBudget, firstBeta = Long.MaxValue)
 }
 
 /** Signals that a run exceeded its materialized-pair budget — the scaled
@@ -49,7 +36,12 @@ object EmstGfk {
   // One WSPD pair carried across rounds with its cached BCCP (null until computed).
   private final class PairState(val a: Int, val b: Int, var edge: Edge)
 
-  def mst(ps: PointSet, par: ParScheme, pairBudget: Long = Long.MaxValue): MstResult = {
+  def mst(ps: PointSet, par: ParScheme, pairBudget: Long = Long.MaxValue): MstResult =
+    run(ps, par, pairBudget, firstBeta = 2L)
+
+  /** The round loop, with β = `firstBeta` in the first round. */
+  private[core] def run(ps: PointSet, par: ParScheme, pairBudget: Long, firstBeta: Long)
+      : MstResult = {
     val tree = KdTree.build(ps)
     val ctx = Ctx.euclidean(tree)
     val sep = GeometricSep(2.0)
@@ -61,7 +53,7 @@ object EmstGfk {
       var s: IndexedSeq[PairState] = wspd.map { case (a, b) => new PairState(a, b, null) }
       val uf = new UnionFind(ps.n)
       val out = new ArrayBuffer[Edge](ps.n - 1)
-      var beta = 2L
+      var beta = firstBeta
       var rounds = 0
       var bccpCount = 0L
       def card(p: PairState): Long = tree.size(p.a).toLong + tree.size(p.b)
@@ -95,7 +87,7 @@ object EmstGfk {
           if (p.edge != null) snap(p.edge.u) != snap(p.edge.v)
           else !(comp(p.a) >= 0 && comp(p.a) == comp(p.b))
         }
-        beta *= 2
+        beta = if (beta > Long.MaxValue / 2) Long.MaxValue else beta * 2
         if (s.isEmpty && out.size < ps.n - 1)
           throw new IllegalStateException(
             s"GFK exhausted pairs with ${out.size} of ${ps.n - 1} edges")

@@ -45,18 +45,19 @@ object WorkBudget {
   def unlimited: WorkBudget = new WorkBudget(Long.MaxValue)
 
   /** A budget of [[OneSparkJob]] for driver-first work under a scheme that
-    * fans out; None under one that does not, whose path stays as it is.
+    * fans out; under one that does not, a budget that never runs out, so
+    * all the work runs on the driver.
     */
-  def forDriver(par: ParScheme): Option[WorkBudget] =
-    if (par.targetTasks > 1) Some(new WorkBudget(OneSparkJob)) else None
+  def forDriver(par: ParScheme): WorkBudget =
+    if (par.targetTasks > 1) new WorkBudget(OneSparkJob) else unlimited
 
   /** Runs `work` on the driver against [[forDriver]]'s budget and returns
-    * its result if it finished within the budget. None means the caller
-    * must fan the work out; the partial result is dropped.
+    * its result if it finished within the budget. None means the budget ran
+    * out: the caller must fan the work out; the partial result is dropped.
     */
-  def onDriver[T](par: ParScheme)(work: WorkBudget => T): Option[T] =
-    forDriver(par).flatMap { budget =>
-      val result = work(budget)
-      if (budget.exhausted) None else Some(result)
-    }
+  def onDriver[T](par: ParScheme)(work: WorkBudget => T): Option[T] = {
+    val budget = forDriver(par)
+    val result = work(budget)
+    if (budget.exhausted) None else Some(result)
+  }
 }

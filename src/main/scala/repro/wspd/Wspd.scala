@@ -1,6 +1,8 @@
 package repro.wspd
 
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
 
 import repro.kdtree.KdTree
 import repro.mst.Edge
@@ -204,19 +206,96 @@ private object BccpStarSearch {
   val ScanBlock: Int = 16
 }
 
+/** What one WSPD traversal does inside the shared Algorithm-1 recursion:
+  * its prune rules, its action at each well-separated pair and its result
+  * (the split of Curtin et al., "Tree-Independent Dual-Tree Algorithms",
+  * ICML 2013). [[Wspd.traverse]] makes one visitor for a driver run, or
+  * one for the fan-out's head and one inside each task.
+  */
+private abstract class Visitor[R] {
+  /** True to skip WSPD(a), the call that splits node `a`. */
+  def pruneNode(a: Int): Boolean = false
+
+  /** True to skip FindPair(a, b) and every call below it. */
+  def prunePair(a: Int, b: Int): Boolean = false
+
+  /** Visits a well-separated pair that no prune rule cut. */
+  def emit(a: Int, b: Int): Unit
+
+  /** A prune bound that tightens as pairs are emitted (GetRho's ρ); each
+    * task's visitor starts from the head's.
+    */
+  def bound: Double = Double.PositiveInfinity
+
+  def result: R
+
+  /** This (head) visitor's result followed by the tasks' results. */
+  def merge(tasks: IndexedSeq[R]): R
+}
+
+/** The prune rules GetRho and GetPairs share (Algorithm 3): skip what one
+  * union-find component already holds. `comp` is [[Wspd.nodeComponents]].
+  */
+private abstract class Unconnected[R](comp: Array[Int]) extends Visitor[R] {
+  override def pruneNode(a: Int): Boolean = comp(a) >= 0
+  override def prunePair(a: Int, b: Int): Boolean = comp(a) >= 0 && comp(a) == comp(b)
+}
+
+/** Algorithm 1's recursion under one [[Visitor]]. Call (a, a) is WSPD(a),
+  * which splits node a; call (a, b) with a != b is FindPair(a, b). Each
+  * FindPair visit charges `budget` one unit; once it is exhausted every call
+  * is pruned, so the recursion unwinds without throwing.
+  */
+private final class FindPairs[R](c: Ctx, sep: Sep, v: Visitor[R], budget: WorkBudget) {
+  private val t = c.tree
+
+  /** The Algorithm-1 step on call (a, b): prune it, emit it if it is well
+    * separated, or else hand its sub-calls to `next` in depth-first order,
+    * splitting the node with the larger bounding sphere.
+    */
+  private def step(a: Int, b: Int, next: (Int, Int) => Unit): Unit =
+    if (a == b) {
+      if (!t.isLeaf(a) && !budget.exhausted && !v.pruneNode(a)) {
+        val l = t.left(a); val r = t.right(a)
+        next(l, l); next(r, r); next(l, r)
+      }
+    } else if (!budget.spend(1) && !v.prunePair(a, b)) {
+      if (sep.wellSeparated(c, a, b)) v.emit(a, b)
+      else if (t.radius(a) >= t.radius(b)) { next(t.left(a), b); next(t.right(a), b) }
+      else { next(t.left(b), a); next(t.right(b), a) }
+    }
+
+  private val recurse: (Int, Int) => Unit = (a, b) => step(a, b, recurse)
+
+  /** Runs call (a, b) depth first to the end; returns the visitor's result. */
+  def run(a: Int, b: Int): R = { step(a, b, recurse); v.result }
+
+  /** Expands the root call breadth first until at least `target` calls are
+    * pending, and returns those calls.
+    */
+  def frontier(target: Int): IndexedSeq[Wspd.Task] = {
+    val queue = mutable.Queue(Wspd.Task(t.root, t.root))
+    val enqueue: (Int, Int) => Unit = (a, b) => queue.enqueue(Wspd.Task(a, b))
+    while (queue.nonEmpty && queue.size < target) {
+      val task = queue.dequeue()
+      step(task.a, task.b, enqueue)
+    }
+    queue.toIndexedSeq
+  }
+}
+
 /** WSPD construction and the MemoGFK pruned traversals (Algorithms 1 & 3).
   *
-  * Every traversal exists in one body that runs either fully sequentially
-  * or as a fan-out: the top of the recursion is expanded breadth-first into
-  * independent (a, b) "FindPair" tasks, which executors then run against
-  * the shared [[Ctx]] and per-round state (union-find components, BCCP
-  * cache), re-shared by the caller every round.
-  *
-  * Under a scheme that fans out, each traversal first runs sequentially on
-  * the driver against a [[WorkBudget]] of about one Spark job's cost. A
-  * traversal that finishes within it is the result and launches no job;
-  * otherwise its partial result is dropped and the fan-out runs, so the
-  * work wasted is at most one budget.
+  * `allPairs`, `getRho` and `getPairs` are visitors of one traversal,
+  * [[traverse]]. Under a scheme that fans out, it first runs the whole
+  * recursion on the driver against a [[WorkBudget]] of about one Spark
+  * job's cost; a run that finishes within it is the result and launches no
+  * job. Otherwise its partial result is dropped (so the work wasted is at
+  * most one budget), the top of the recursion is expanded breadth first on
+  * the driver (the head), and the pending calls fan out as independent
+  * tasks that read the shared [[Ctx]] and per-round state (union-find
+  * components, BCCP cache), re-shared by the caller every round. Under Seq
+  * the driver run has no limit.
   */
 object Wspd extends Serializable {
 
@@ -241,96 +320,41 @@ object Wspd extends Serializable {
   /** A pending FindPair(a, b) call; `a == b` encodes a WSPD(a) split call. */
   final case class Task(a: Int, b: Int) extends Serializable
 
-  /** Expands the Algorithm-1 recursion breadth-first until at least
-    * `target` independent tasks exist. `emit` receives pairs that become
-    * well-separated during expansion. `pruneNode`/`prunePair` allow
-    * MemoGFK-style cuts; both default to no pruning.
+  /** Runs Algorithm 1 from the root under the visitors `visitor(budget,
+    * bound)` makes: driver first, else head plus fan-out (see [[Wspd]]).
+    * `visitor` is called inside each task, so it must read per-round state
+    * through its [[Shared]] handles there.
     */
-  private def expandFrontier(
-      c: Ctx,
-      sep: Sep,
-      target: Int,
-      emit: (Int, Int) => Unit,
-      pruneNode: Int => Boolean,
-      prunePair: (Int, Int) => Boolean,
-  ): IndexedSeq[Task] = {
-    val t = c.tree
-    val queue = scala.collection.mutable.Queue[Task](Task(t.root, t.root))
-    while (queue.nonEmpty && queue.size < target) {
-      val Task(a, b) = queue.dequeue()
-      if (a == b) {
-        if (!t.isLeaf(a) && !pruneNode(a)) {
-          queue.enqueue(Task(t.left(a), t.left(a)))
-          queue.enqueue(Task(t.right(a), t.right(a)))
-          queue.enqueue(Task(t.left(a), t.right(a)))
-        }
-      } else if (!prunePair(a, b)) {
-        if (sep.wellSeparated(c, a, b)) emit(a, b)
-        else {
-          // Split the node with the larger bounding sphere (Algorithm 1).
-          val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
-          queue.enqueue(Task(t.left(p), q))
-          queue.enqueue(Task(t.right(p), q))
-        }
-      }
+  private def traverse[R: ClassTag](sc: Shared[Ctx], sep: Sep, par: ParScheme)(
+      visitor: (WorkBudget, Double) => Visitor[R]): R = {
+    val c = sc.value
+    val root = c.tree.root
+    WorkBudget.onDriver(par) { budget =>
+      new FindPairs(c, sep, visitor(budget, Double.PositiveInfinity), budget).run(root, root)
+    }.getOrElse {
+      val head = visitor(WorkBudget.unlimited, Double.PositiveInfinity)
+      val tasks = new FindPairs(c, sep, head, WorkBudget.unlimited).frontier(par.targetTasks)
+      val bound = head.bound
+      head.merge(par.mapItems(tasks) { task =>
+        val budget = WorkBudget.unlimited
+        new FindPairs(sc.value, sep, visitor(budget, bound), budget).run(task.a, task.b)
+      })
     }
-    queue.toIndexedSeq
-  }
-
-  /** Sequential FindPair recursion body shared by every traversal. Each
-    * node-pair visit charges `budget` one unit; once it is exhausted every
-    * pair and node is pruned, so the recursion unwinds without throwing.
-    */
-  private def findPairsRec(
-      c: Ctx,
-      sep: Sep,
-      a0: Int,
-      b0: Int,
-      emit: (Int, Int) => Unit,
-      pruneNode: Int => Boolean,
-      prunePair: (Int, Int) => Boolean,
-      budget: WorkBudget,
-  ): Unit = {
-    val t = c.tree
-    def pair(a: Int, b: Int): Unit =
-      if (!budget.spend(1) && !prunePair(a, b)) {
-        if (sep.wellSeparated(c, a, b)) emit(a, b)
-        else {
-          val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
-          pair(t.left(p), q)
-          pair(t.right(p), q)
-        }
-      }
-    def split(a: Int): Unit =
-      if (!t.isLeaf(a) && !budget.exhausted && !pruneNode(a)) {
-        split(t.left(a))
-        split(t.right(a))
-        pair(t.left(a), t.right(a))
-      }
-    if (a0 == b0) split(a0) else pair(a0, b0)
   }
 
   /** Full WSPD of the tree (Algorithm 1): every well-separated pair under
-    * `sep`. Parallel under `par` via frontier fan-out.
+    * `sep`.
     */
-  def allPairs(sc: Shared[Ctx], sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] = {
-    def pairsUnder(c: Ctx, a0: Int, b0: Int, budget: WorkBudget): ArrayBuffer[(Int, Int)] = {
-      val buf = ArrayBuffer.empty[(Int, Int)]
-      findPairsRec(c, sep, a0, b0, (a, b) => buf += ((a, b)), _ => false, (_, _) => false, budget)
-      buf
-    }
-    val c0 = sc.value
-    val root = c0.tree.root
-    WorkBudget.onDriver(par)(pairsUnder(c0, root, root, _).toIndexedSeq).getOrElse {
-      val head = ArrayBuffer.empty[(Int, Int)]
-      val tasks = expandFrontier(c0, sep, par.targetTasks,
-        (a, b) => head += ((a, b)), _ => false, (_, _) => false)
-      val rest = par.flatMapItems(tasks) { task =>
-        pairsUnder(sc.value, task.a, task.b, WorkBudget.unlimited).toSeq
+  def allPairs(sc: Shared[Ctx], sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] =
+    traverse(sc, sep, par) { (_, _) =>
+      new Visitor[IndexedSeq[(Int, Int)]] {
+        private val pairs = ArrayBuffer.empty[(Int, Int)]
+        override def emit(a: Int, b: Int): Unit = pairs += ((a, b))
+        override def result: IndexedSeq[(Int, Int)] = pairs.toIndexedSeq
+        override def merge(tasks: IndexedSeq[IndexedSeq[(Int, Int)]]): IndexedSeq[(Int, Int)] =
+          (pairs ++ tasks.flatten).toIndexedSeq
       }
-      (head ++ rest).toIndexedSeq
     }
-  }
 
   /** Per-node union-find purity: `nodeComp(a)` is the component root if all
     * points under `a` share one component, else -1. Recomputed each GFK
@@ -369,48 +393,21 @@ object Wspd extends Serializable {
       beta: Long,
       scomp: Shared[Array[Int]],
       par: ParScheme,
-  ): Double = {
-    def localRho(c: Ctx, comp: Array[Int], a0: Int, b0: Int, init: Double,
-        budget: WorkBudget): Double = {
-      val t = c.tree
-      var rho = init
-      findPairsRec(c, sep, a0, b0,
-        emit = (a, b) => {
-          if (t.size(a).toLong + t.size(b) > beta) {
-            val l = metric.lb(c, a, b)
-            if (l < rho) rho = l
-          }
-        },
-        pruneNode = a => comp(a) >= 0,
-        prunePair = (a, b) => {
-          (comp(a) >= 0 && comp(a) == comp(b)) ||
-          t.size(a).toLong + t.size(b) <= beta ||
-          metric.lb(c, a, b) >= rho
-        },
-        budget)
-      rho
-    }
-    val c0 = sc.value
-    val comp0 = scomp.value
-    val t0 = c0.tree
-    WorkBudget.onDriver(par)(
-      localRho(c0, comp0, t0.root, t0.root, Double.PositiveInfinity, _)).getOrElse {
-      var headRho = Double.PositiveInfinity
-      val tasks = expandFrontier(c0, sep, par.targetTasks,
-        emit = (a, b) =>
-          if (t0.size(a).toLong + t0.size(b) > beta) {
-            val l = metric.lb(c0, a, b)
-            if (l < headRho) headRho = l
-          },
-        pruneNode = a => comp0(a) >= 0,
-        prunePair = (a, b) => comp0(a) >= 0 && comp0(a) == comp0(b))
-      val seed = headRho
-      val locals = par.mapItems(tasks) { task =>
-        localRho(sc.value, scomp.value, task.a, task.b, seed, WorkBudget.unlimited)
+  ): Double =
+    traverse(sc, sep, par) { (_, seed) =>
+      val c = sc.value
+      new Unconnected[Double](scomp.value) {
+        private val t = c.tree
+        private var rho = seed
+        override def prunePair(a: Int, b: Int): Boolean =
+          super.prunePair(a, b) || t.size(a).toLong + t.size(b) <= beta || metric.lb(c, a, b) >= rho
+        // Not pruned, so the pair is large and its lb is below rho.
+        override def emit(a: Int, b: Int): Unit = rho = metric.lb(c, a, b)
+        override def bound: Double = rho
+        override def result: Double = rho
+        override def merge(tasks: IndexedSeq[Double]): Double = (tasks :+ rho).min
       }
-      (locals :+ headRho).min
     }
-  }
 
   /** Pack a node pair into one Long cache key. */
   @inline def pairKey(a: Int, b: Int): Long = (a.toLong << 32) | (b.toLong & 0xffffffffL)
@@ -442,19 +439,18 @@ object Wspd extends Serializable {
       scomp: Shared[Array[Int]],
       scache: Shared[java.util.HashMap[Long, Edge]],
       par: ParScheme,
-  ): PairsRound = {
-    def run(
-        c: Ctx,
-        comp: Array[Int],
-        cache: java.util.HashMap[Long, Edge],
-        a0: Int,
-        b0: Int,
-        out: ArrayBuffer[Edge],
-        fresh: ArrayBuffer[(Long, Edge)],
-        budget: WorkBudget,
-    ): Unit =
-      findPairsRec(c, sep, a0, b0,
-        emit = (a, b) => {
+  ): PairsRound =
+    traverse(sc, sep, par) { (budget, _) =>
+      val c = sc.value
+      val cache = scache.value
+      new Unconnected[PairsRound](scomp.value) {
+        private val edges = ArrayBuffer.empty[Edge]
+        private val fresh = ArrayBuffer.empty[(Long, Edge)]
+        override def prunePair(a: Int, b: Int): Boolean =
+          super.prunePair(a, b) ||
+          lbPrunes(metric.lb(c, a, b), rhoHi) ||
+          ubPrunes(metric.ub(c, a, b), rhoLo)
+        override def emit(a: Int, b: Int): Unit = {
           // Bounds may not exclude the pair, but the exact BCCP decides.
           val key = pairKey(a, b)
           var e = cache.get(key)
@@ -467,47 +463,12 @@ object Wspd extends Serializable {
             if (c.tree.size(a) + c.tree.size(b) >= CacheMinCardinality)
               fresh += ((key, e))
           }
-          if (e.w >= rhoLo && e.w < rhoHi) out += e
-        },
-        pruneNode = a => comp(a) >= 0,
-        prunePair = (a, b) => {
-          (comp(a) >= 0 && comp(a) == comp(b)) ||
-          lbPrunes(metric.lb(c, a, b), rhoHi) ||
-          ubPrunes(metric.ub(c, a, b), rhoLo)
-        },
-        budget)
-    val c0 = sc.value
-    val comp0 = scomp.value
-    val root = c0.tree.root
-    WorkBudget.onDriver(par) { budget =>
-      val out = ArrayBuffer.empty[Edge]
-      val fresh = ArrayBuffer.empty[(Long, Edge)]
-      run(c0, comp0, scache.value, root, root, out, fresh, budget)
-      PairsRound(out.toIndexedSeq, fresh.toIndexedSeq)
-    }.getOrElse {
-      val headEdges = ArrayBuffer.empty[Edge]
-      val headFresh = ArrayBuffer.empty[(Long, Edge)]
-      val headPairs = ArrayBuffer.empty[(Int, Int)]
-      val tasks = expandFrontier(c0, sep, par.targetTasks,
-        emit = (a, b) => headPairs += ((a, b)),
-        pruneNode = a => comp0(a) >= 0,
-        prunePair = (a, b) => {
-          (comp0(a) >= 0 && comp0(a) == comp0(b)) ||
-          lbPrunes(metric.lb(c0, a, b), rhoHi) ||
-          ubPrunes(metric.ub(c0, a, b), rhoLo)
-        })
-      headPairs.foreach { case (a, b) =>
-        run(c0, comp0, scache.value, a, b, headEdges, headFresh, WorkBudget.unlimited)
+          if (e.w >= rhoLo && e.w < rhoHi) edges += e
+        }
+        override def result: PairsRound = PairsRound(edges.toIndexedSeq, fresh.toIndexedSeq)
+        override def merge(tasks: IndexedSeq[PairsRound]): PairsRound = PairsRound(
+          (edges ++ tasks.flatMap(_.edges)).toIndexedSeq,
+          (fresh ++ tasks.flatMap(_.newCacheEntries)).toIndexedSeq)
       }
-      val rest = par.flatMapItems(tasks) { task =>
-        val out = ArrayBuffer.empty[Edge]
-        val fresh = ArrayBuffer.empty[(Long, Edge)]
-        run(sc.value, scomp.value, scache.value, task.a, task.b, out, fresh, WorkBudget.unlimited)
-        Seq((out.toIndexedSeq, fresh.toIndexedSeq))
-      }
-      PairsRound(
-        (headEdges ++ rest.flatMap(_._1)).toIndexedSeq,
-        (headFresh ++ rest.flatMap(_._2)).toIndexedSeq)
     }
-  }
 }

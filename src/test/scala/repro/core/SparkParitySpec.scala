@@ -1,10 +1,13 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
+
 import repro.{SparkSpec, TestUtil}
 import repro.geometry.{Generators, PointSet}
 import repro.kdtree.KdTree
-import repro.par.{SeqScheme, SparkScheme}
-import repro.wspd.{Ctx, GeometricSep, MutualReachMetric, MutualUnreachableSep, Wspd}
+import repro.mst.{Edge, Kruskal, UnionFind}
+import repro.par.{ParScheme, SeqScheme, SparkScheme}
+import repro.wspd.{Ctx, EuclidMetric, GeometricSep, MutualReachMetric, MutualUnreachableSep, Wspd}
 
 /** Every algorithm must produce identical results under the sequential
   * scheme and the Spark RDD fan-out scheme — the paper's "1 thread" vs
@@ -78,6 +81,58 @@ class SparkParitySpec extends SparkSpec {
     assert(jobs >= 2)
     TestUtil.assertSameWeight(spk.edges, EmstMemoGfk.mst(ps, SeqScheme).edges)
     TestUtil.assertSameWeight(spk.edges, TestUtil.bruteEmst(ps))
+  }
+
+  /** The 7D context above, with no pair connected yet. */
+  private def uniform7d(): (Ctx, Array[Int]) = {
+    val ps = Generators.uniformFill(2000, 7, 1)
+    val c = Ctx.euclidean(KdTree.build(ps))
+    (c, Wspd.nodeComponents(c.tree, new UnionFind(ps.n).snapshot()))
+  }
+
+  test("7D getPairs fans out and returns Seq's edges and cache entries") {
+    val (c, comp) = uniform7d()
+    def run(par: ParScheme): Wspd.PairsRound = {
+      val (sc, scomp) = (par.share(c), par.share(comp))
+      val scache = par.share(new java.util.HashMap[Long, Edge])
+      try Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric, 0.0, Double.PositiveInfinity,
+        scomp, scache, par)
+      finally { sc.release(); scomp.release(); scache.release() }
+    }
+    val seq = run(SeqScheme)
+    val (jobs, spk) = jobsDuring(run(par))
+    assert(jobs >= 1, "getPairs did not fan out")
+    val byEdge = Ordering.by((e: Edge) => (e.u, e.v, e.w))
+    assert(spk.edges.sorted(byEdge) == seq.edges.sorted(byEdge))
+    assert(spk.newCacheEntries.map(_._1).sorted == seq.newCacheEntries.map(_._1).sorted)
+    assert(spk.newCacheEntries.toMap == seq.newCacheEntries.toMap)
+  }
+
+  test("7D getRho fans out and lies between the min lb and the min BCCP of large pairs") {
+    val (c, fresh) = uniform7d()
+    val t = c.tree
+    val sep = GeometricSep(2.0)
+    // Components after MemoGFK's first round (under Seq), as round 2 sees them.
+    val sc = SeqScheme.share(c)
+    val rho1 = Wspd.getRho(sc, sep, EuclidMetric, 2L, SeqScheme.share(fresh), SeqScheme)
+    val uf = new UnionFind(t.points.n)
+    Kruskal.runBatch(Wspd.getPairs(sc, sep, EuclidMetric, 0.0, rho1, SeqScheme.share(fresh),
+      SeqScheme.share(new java.util.HashMap[Long, Edge]), SeqScheme).edges, uf, ArrayBuffer.empty)
+    val comp = Wspd.nodeComponents(t, uf.snapshot())
+    val unconnected = Wspd.allPairs(sc, sep, SeqScheme)
+      .filterNot { case (a, b) => comp(a) >= 0 && comp(a) == comp(b) }
+    // Only beta = 4 exceeds the driver's work budget on this input.
+    for (beta <- Seq(2L, 4L, 8L)) {
+      val large = unconnected.filter { case (a, b) => t.size(a).toLong + t.size(b) > beta }
+      val lo = large.map { case (a, b) => EuclidMetric.lb(c, a, b) }.min
+      val hi = large.map { case (a, b) => EuclidMetric.bccp(c, a, b).w }.min
+      val (spc, scomp) = (par.share(c), par.share(comp))
+      try {
+        val (jobs, rho) = jobsDuring(Wspd.getRho(spc, sep, EuclidMetric, beta, scomp, par))
+        if (beta == 4L) assert(jobs >= 1, "getRho did not fan out")
+        assert(rho >= lo && rho <= hi + 1e-9 * (1.0 + hi), s"beta=$beta: $rho not in [$lo, $hi]")
+      } finally { spc.release(); scomp.release() }
+    }
   }
 
   test("EMST-Naive spark equals seq") {
